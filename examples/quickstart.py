@@ -127,11 +127,11 @@ def main() -> None:
     # every dirty codeword of every unit moves through Berlekamp-Massey,
     # Chien and Forney in lockstep (`ReedSolomon.decode_many`). Reads
     # come back through the store's single entry point — `store.read`
-    # takes a `ReadRequest` and answers with a `ReadResult` that still
-    # unpacks like the old `(bits, report)` tuple. The per-unit loop
-    # survives behind `ReadRequest(reference=True)` and the scalar RS
-    # chain as `repro.ecc.ReferenceReedSolomon` — the frozen references
-    # the batched paths are pinned byte-identical against.
+    # takes a `ReadRequest` and answers with a `ReadResult` that
+    # unpacks as a `(bits, report)` tuple. The per-unit loop survives in
+    # `repro.core.reference` and the scalar RS chain as
+    # `repro.ecc.ReferenceReedSolomon` — the frozen references the
+    # batched paths are pinned byte-identical against.
     store = DnaStore(PipelineConfig(matrix=matrix, layout="gini"))
     payload = rng.integers(0, 2, 3 * store.unit_capacity_bits,
                            dtype=np.uint8)
@@ -152,7 +152,7 @@ def main() -> None:
     # `ReadRequest(pool=True)` recovers the clusters on the columnar
     # plane with the batched greedy clusterer (q-gram signatures in one
     # pass, a stacked banded edit-DP per cluster round — assignment-
-    # identical to the string-plane GreedyClusterer at ~30x its speed),
+    # identical to the frozen sequential greedy scan at ~30x its speed),
     # then decodes all recovered clusters of all units through the same
     # one-pass receive_many as labeled reads.
     pool = simulator.sequence_store(image, rng, labeled=False)
@@ -172,7 +172,7 @@ def main() -> None:
     # the pairs, the same exact banded edit DP verifies every one, so
     # precision stays 1.0 while candidates grow near-linearly with the
     # pool (>5x faster than greedy at 50k reads; see
-    # benchmarks/test_fig_lsh_scaling.py). Same swap on decode_pool,
+    # benchmarks/test_fig_lsh_scaling.py). Same swap on pipeline.decode_pool,
     # StoreService.put, and `repro.cli serve --pool --clusterer lsh`.
     from repro import LSHClusterer
 

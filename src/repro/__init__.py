@@ -80,11 +80,11 @@ the units' clusters back to back in one columnar batch;
 ``pipeline.receive_many`` then parses the whole estimate stack with
 array operations — index validation, first-claim-wins column assembly
 and confidence-cell extraction, segmented by unit — feeding one batched
-RS correction pass. The original one-pipeline-call-per-unit loop
-survives behind ``ReadRequest(reference=True)``, the frozen differential
-reference the batched path is pinned byte-identical against. (The
-legacy ``decode``/``decode_pool``/``decode_units`` names still work as
-deprecated wrappers over the same engine.)
+RS correction pass. Single-unit calls (``pipeline.receive``/``correct``/
+``decode``) are one-unit calls into that same engine. The original
+per-estimate, one-pipeline-call-per-unit loops are kept in
+:mod:`repro.core.reference`, the frozen differential references the
+batched path is pinned byte-identical against.
 
 RS correction itself is batched end to end: clean codewords clear
 through one bit-plane syndrome product, and the dirty remainder of
@@ -111,8 +111,8 @@ sequencing does not provide), and the pooled read path recovers clusters
 with :class:`~repro.cluster.BatchedGreedyClusterer` — q-gram signatures
 for the whole pool in one pass over the flat base buffer, one stacked
 banded edit-distance sweep per cluster round, assignments *identical* to
-the string-plane greedy clusterer (pinned against the frozen original in
-``repro.cluster.reference``) at ~30x its speed on the quickstart pool —
+the frozen sequential greedy scan (``repro.cluster.reference``) at ~30x
+its speed on the quickstart pool —
 then feeds the recovered clusters through the same single
 ``receive_many`` pass as labeled reads; each consensus strand names its
 column via the embedded index field. The same path exists per unit as
@@ -139,7 +139,7 @@ identical recovery-quality floors (pair precision 1.0, recall bounds in
     )
 
 Every pooled surface takes the same ``clusterer=`` swap:
-``decode_pool``, ``ReadRequest``, ``StoreService.put`` and the CLI's
+``pipeline.decode_pool``, ``ReadRequest``, ``StoreService.put`` and the CLI's
 ``serve --pool --clusterer lsh``.
 
 Scenario sweeps ride the same engine: ``ReadPool`` stores its pool as one
@@ -236,7 +236,6 @@ from repro.channel import (
 )
 from repro.cluster import (
     BatchedGreedyClusterer,
-    GreedyClusterer,
     LSHClusterer,
     pair_precision_recall,
 )
@@ -297,7 +296,6 @@ __all__ = [
     "SynthesisSimulator",
     "TwoStageSequencer",
     # clustering
-    "GreedyClusterer",
     "BatchedGreedyClusterer",
     "LSHClusterer",
     "pair_precision_recall",

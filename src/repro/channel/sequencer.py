@@ -167,8 +167,8 @@ class SequencingSimulator:
         strand of every unit goes through **one** engine call, and the
         resulting batch lays the units' clusters back to back — cluster
         slots ``[u * n_columns, (u + 1) * n_columns)`` belong to unit
-        ``u`` — which is exactly the spanning form
-        :meth:`~repro.core.store.DnaStore.decode` consumes whole.
+        ``u`` — which is exactly the spanning form a labeled
+        :class:`~repro.core.store.ReadRequest` carries whole.
 
         With ``labeled=False`` the per-strand ground-truth labels are
         discarded: the result has one cluster per *unit* — the unit's
@@ -177,8 +177,8 @@ class SequencingSimulator:
         within a pool is exactly what sequencing does not provide. That
         is the realistic retrieval workload: recover the clusters with
         :class:`~repro.cluster.batched.BatchedGreedyClusterer` (or hand
-        the pool straight to
-        :meth:`~repro.core.store.DnaStore.decode_pool`).
+        the pool straight to :meth:`~repro.core.store.DnaStore.read` as
+        a ``ReadRequest(..., pool=True)``).
         """
         generator = ensure_rng(rng)
         strands = [
@@ -260,7 +260,7 @@ class ReadPool:
         ``image`` is a :class:`~repro.core.store.StoreImage`; the pool
         holds all units' strands back to back, so ``batch_at(coverage)``
         emits the spanning :class:`ReadBatch` that
-        :meth:`~repro.core.store.DnaStore.decode` consumes in one pass —
+        :meth:`~repro.core.store.DnaStore.read` consumes in one pass —
         multi-unit coverage sweeps stay nested and zero-copy exactly like
         single-unit ones.
         """

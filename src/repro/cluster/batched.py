@@ -1,8 +1,9 @@
 """Greedy clustering on the columnar read plane, batched per cluster.
 
-The string-plane :class:`~repro.cluster.greedy.GreedyClusterer` scans
-representatives one Python iteration at a time for every read. The
-clusterer here produces the *exact same assignments* straight off a
+The frozen sequential scan
+(:class:`~repro.cluster.reference.ReferenceGreedyClusterer`) compares
+every read against the representatives one Python iteration at a time.
+The clusterer here produces the *exact same assignments* straight off a
 :class:`~repro.channel.readbatch.ReadBatch` buffer, restructured around
 one round per **cluster** instead of one step per read:
 
@@ -76,9 +77,10 @@ def relabel_batch(
 class BatchedGreedyClusterer:
     """Greedy edit-distance clustering over a :class:`ReadBatch`.
 
-    Assignment-identical to :class:`~repro.cluster.greedy.GreedyClusterer`
-    (and the frozen reference) at any ``threshold``/``qgram_size``; the
-    work is vectorized across the whole pool.
+    Assignment-identical to the frozen sequential scan
+    (:class:`~repro.cluster.reference.ReferenceGreedyClusterer`) at any
+    ``threshold``/``qgram_size``; the work is vectorized across the
+    whole pool.
 
     Args:
         threshold: maximum edit distance to a cluster representative.
@@ -191,10 +193,10 @@ class BatchedGreedyClusterer:
         cluster ``c`` holds the reads greedy assignment put there (reads
         keep their pool order within each cluster), and
         ``source_indices`` is the creation order — there is no ground
-        truth, exactly like ``GreedyClusterer.cluster``. The result is a
-        spanning batch any consumer of labeled reads
-        (``pipeline.receive``, ``DnaStore.decode`` via
-        :meth:`~repro.core.store.DnaStore.decode_pool`) takes unchanged.
+        truth, exactly like ``ReferenceGreedyClusterer.cluster``. The
+        result is a spanning batch any consumer of labeled reads
+        (``pipeline.receive``, a labeled
+        :class:`~repro.core.store.ReadRequest`) takes unchanged.
         """
         with get_tracer().span(
             "cluster.batch", n_reads=batch.n_reads

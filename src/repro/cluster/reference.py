@@ -1,10 +1,10 @@
 """Frozen string-plane greedy clustering (the differential reference).
 
-This is the original per-read, per-character implementation of
-:class:`~repro.cluster.greedy.GreedyClusterer`, kept verbatim — like the
-per-cluster reconstructors in :mod:`repro.consensus.reference` and the
-per-unit store loop ``DnaStore.decode_units`` — as the baseline the
-columnar clustering subsystem is pinned against:
+This is the original per-read, per-character string-plane greedy
+clusterer, kept verbatim — like the per-cluster reconstructors in
+:mod:`repro.consensus.reference` and the per-unit store loop in
+:mod:`repro.core.reference` — as the baseline the columnar clustering
+subsystem is pinned against:
 
 * :func:`_qgram_signature` is the per-character rolling-code loop the
   vectorized kernel (:mod:`repro.cluster.signatures`) must reproduce bit

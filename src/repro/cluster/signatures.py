@@ -13,11 +13,9 @@ sliding-window dot product (no per-character Python loop, no dict
 lookups), window validity (windows must not straddle a read boundary) as
 one segmented comparison, and all reads' histograms via a single
 ``bincount`` over ``read * 4**q + code`` keys. The single-read helper
-:func:`qgram_signature` rides the same rolling-code kernel, so the
-string-plane :class:`~repro.cluster.greedy.GreedyClusterer` and the
-columnar :class:`~repro.cluster.batched.BatchedGreedyClusterer` share
-one signature definition (pinned against the frozen per-character loop
-in :mod:`repro.cluster.reference` by the differential suite).
+:func:`qgram_signature` rides the same rolling-code kernel, so there
+is one signature definition (pinned against the frozen per-character
+loop in :mod:`repro.cluster.reference` by the differential suite).
 
 Dense histograms are ``(n_reads, n_alphabet**q)`` and explode
 combinatorially in ``q`` — a million reads at ``q=8`` would need a

@@ -20,24 +20,22 @@ of Section 2.1). :class:`DnaStore` handles the split:
   goes through **one** consensus batch call and one vectorized
   :meth:`~repro.core.pipeline.DnaStoragePipeline.receive_many` pass
   covering every surviving cluster of every unit, feeding per-unit RS
-  correction. The original per-unit loop survives behind
-  ``ReadRequest(reference=True)`` — the frozen differential reference,
-  pinned byte-identical by ``tests/core/test_store_batched.py``.
+  correction. The original per-unit loop is kept as the frozen
+  differential reference
+  (:func:`repro.core.reference._decode_units_reference`), pinned
+  byte-identical by ``tests/core/test_store_batched.py``.
 
 The read surface is request-shaped: :meth:`DnaStore.read` takes one
-:class:`ReadRequest` (labeled reads, an unlabeled pool, or the frozen
-reference path, with per-request ranking/confidence options) and returns
-a :class:`ReadResult`; :meth:`DnaStore.read_many` coalesces many
-requests into **one** spanning consensus pass and **one** batched RS
-errata pass shared across all of them — the amortization the
-:mod:`repro.service` plane builds its tick loop on. The legacy
-``decode`` / ``decode_pool`` / ``decode_units`` names survive as thin
-deprecated wrappers over the same engine.
+:class:`ReadRequest` (labeled reads or an unlabeled pool, with
+per-request ranking/confidence options) and returns a
+:class:`ReadResult`; :meth:`DnaStore.read_many` coalesces many requests
+into **one** spanning consensus pass and **one** batched RS errata pass
+shared across all of them — the amortization the :mod:`repro.service`
+plane builds its tick loop on.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -52,7 +50,7 @@ from repro.core.pipeline import DecodeReport, DnaStoragePipeline, EncodedUnit, P
 from repro.observability.manifest import build_manifest
 from repro.observability.trace import get_tracer
 
-#: Anything :meth:`DnaStore.decode` can consume: one spanning batch, one
+#: Labeled reads a :class:`ReadRequest` can carry: one spanning batch, one
 #: batch or cluster list per unit.
 StoreReads = Union[
     ReadBatch,
@@ -111,23 +109,18 @@ class ReadRequest:
     """One object-read request for :meth:`DnaStore.read` / ``read_many``.
 
     A request names *what to decode* and *how*: labeled reads (the
-    default), an unlabeled per-unit pool (``pool=True``, reads clustered
-    first — what ``decode_pool`` did), or the frozen per-unit reference
-    loop (``reference=True`` — what ``decode_units`` did). Options that
-    were keyword arguments on the three legacy entry points travel with
-    the request, so :meth:`DnaStore.read_many` can coalesce requests
-    with heterogeneous options into shared batch passes.
+    default) or an unlabeled per-unit pool (``pool=True``, reads
+    clustered first). The decode options travel with the request, so
+    :meth:`DnaStore.read_many` can coalesce requests with heterogeneous
+    options into shared batch passes.
 
     Attributes:
         reads: the read material — anything :data:`StoreReads` accepts
-            for labeled/reference requests; one :class:`ReadBatch` with
-            one cluster (pool) per unit when ``pool`` is set.
+            for labeled requests; one :class:`ReadBatch` with one cluster
+            (pool) per unit when ``pool`` is set.
         n_data_bits: payload size stored at encode time.
         pool: when True, ``reads`` is an unlabeled per-unit pool batch
             and is clustered before decoding.
-        reference: when True, decode through the frozen per-unit
-            reference loop (one pipeline pass per unit) instead of the
-            batched engine.
         ranking: the global priority permutation used at encode time.
         confidence_threshold: advisory-erasure threshold, as in
             :meth:`~repro.core.pipeline.DnaStoragePipeline.receive`.
@@ -147,7 +140,6 @@ class ReadRequest:
     reads: StoreReads
     n_data_bits: int
     pool: bool = False
-    reference: bool = False
     ranking: Optional[np.ndarray] = None
     confidence_threshold: Optional[float] = None
     clusterer: Optional[PoolClusterer] = None
@@ -160,8 +152,7 @@ class ReadResult:
     """The outcome of one :class:`ReadRequest`.
 
     Wraps the payload bits and the existing :class:`StoreReport` (no
-    parallel report type); iterable as ``(bits, report)`` so call sites
-    written against the legacy tuple shape unpack unchanged.
+    parallel report type); iterable as ``(bits, report)``.
 
     Attributes:
         bits: the decoded payload.
@@ -244,13 +235,12 @@ class DnaStore:
     def read(self, request: ReadRequest) -> ReadResult:
         """Serve one :class:`ReadRequest`; returns a :class:`ReadResult`.
 
-        The single decode entry point: labeled reads, unlabeled pools
-        (``pool=True``) and the frozen per-unit reference loop
-        (``reference=True``) all route through the same engine, so every
-        option combination the legacy ``decode``/``decode_pool``/
-        ``decode_units`` trio exposed is one request field away — and
-        stays byte-identical to those paths (pinned by
-        ``tests/core/test_read_api.py``).
+        The single decode entry point: labeled reads and unlabeled pools
+        (``pool=True``) route through the same coalescing engine as
+        :meth:`read_many`. Labeled reads decode byte-identically to the
+        frozen per-unit loop
+        (:func:`repro.core.reference._decode_units_reference`, pinned by
+        ``tests/core/test_store_batched.py``).
         """
         return self._serve([request], "store.read")[0]
 
@@ -258,7 +248,7 @@ class DnaStore:
         """Serve many requests through **shared** batch passes.
 
         The coalescing boundary the service plane amortizes on: all
-        non-reference requests are merged — pooled requests sharing a
+        requests are merged — pooled requests sharing a
         clusterer go through one
         :meth:`~repro.cluster.batched.BatchedGreedyClusterer.
         cluster_pools` call, requests sharing a ``confidence_threshold``
@@ -272,24 +262,13 @@ class DnaStore:
         return self._serve(list(requests), "store.read_many")
 
     def _serve(
-        self,
-        requests: List[ReadRequest],
-        span_name: str,
-        span_attrs: Optional[dict] = None,
+        self, requests: List[ReadRequest], span_name: str
     ) -> List[ReadResult]:
-        """Run requests through the coalescing engine under one span.
-
-        ``span_attrs`` overrides the default ``n_requests`` attribute —
-        the deprecated wrappers pass their legacy span names and
-        attributes through here so existing traces and manifests keep
-        their shape.
-        """
-        if span_attrs is None:
-            span_attrs = {"n_requests": len(requests)}
+        """Run requests through the coalescing engine under one span."""
         if not requests:
             return []
         tracer = get_tracer()
-        with tracer.span(span_name, **span_attrs):
+        with tracer.span(span_name, n_requests=len(requests)):
             served = self._read_many_impl(requests)
         self._emit_manifest(tracer, span_name)
         return [
@@ -300,38 +279,24 @@ class DnaStore:
 
     def _read_many_impl(
         self, requests: List[ReadRequest]
-    ) -> List[Tuple[np.ndarray, StoreReport, Optional[list]]]:
+    ) -> List[Tuple[np.ndarray, StoreReport, list]]:
         """The coalescing engine behind :meth:`read`/:meth:`read_many`.
 
         Returns one ``(bits, StoreReport, corrected)`` triple per
         request, in request order; ``corrected`` is the per-unit
-        ``(stripe, DecodeReport)`` list (``None`` on the reference
-        path) — the service plane's decoded-unit cache stores those
-        stripes, which are ranking-independent (ranking is applied at
-        assembly, see :meth:`_assemble_bits`).
+        ``(stripe, DecodeReport)`` list — the service plane's
+        decoded-unit cache stores those stripes, which are
+        ranking-independent (ranking is applied at assembly, see
+        :meth:`_assemble_bits`).
         """
-        results: List = [None] * len(requests)
-        batched = []
-        for i, request in enumerate(requests):
-            if request.reference:
-                bits, report = self._decode_units_reference(
-                    request.reads, request.n_data_bits, request.ranking,
-                    request.confidence_threshold,
-                )
-                results[i] = (bits, report, None)
-            else:
-                batched.append(i)
-        if not batched:
-            return results
-
         # One receive_many per distinct confidence threshold (the
         # threshold is a per-call knob of the consensus/receive pass);
         # the homogeneous common case is a single group, i.e. a single
         # consensus batch call for the whole request list.
         groups: dict = {}
         group_order = []
-        for i in batched:
-            threshold = requests[i].confidence_threshold
+        for i, request in enumerate(requests):
+            threshold = request.confidence_threshold
             if threshold not in groups:
                 groups[threshold] = []
                 group_order.append(threshold)
@@ -400,24 +365,23 @@ class DnaStore:
         # ONE batched RS errata pass across every request's units.
         all_received = []
         all_sizes = []
-        unit_spans = []
-        for i in batched:
+        for i, request in enumerate(requests):
             units = received_by_request[i]
             all_received.extend(units)
             all_sizes.extend(
-                self._stripe_sizes(requests[i].n_data_bits, len(units))
+                self._stripe_sizes(request.n_data_bits, len(units))
             )
-            unit_spans.append((i, len(units)))
         corrected = self.pipeline.correct_many(all_received, all_sizes)
+        results = []
         cursor = 0
-        for i, n_units in unit_spans:
+        for i, request in enumerate(requests):
+            n_units = len(received_by_request[i])
             request_corrected = corrected[cursor:cursor + n_units]
             cursor += n_units
             bits, report = self._assemble_bits(
-                request_corrected, requests[i].n_data_bits,
-                requests[i].ranking,
+                request_corrected, request.n_data_bits, request.ranking
             )
-            results[i] = (bits, report, request_corrected)
+            results.append((bits, report, request_corrected))
         return results
 
     @staticmethod
@@ -448,116 +412,6 @@ class DnaStore:
                 f"spans {n_units} units"
             )
 
-    # -- deprecated wrappers -------------------------------------------------
-
-    def decode(
-        self,
-        reads: StoreReads,
-        n_data_bits: int,
-        ranking: Optional[np.ndarray] = None,
-        confidence_threshold: Optional[float] = None,
-    ):
-        """Deprecated: use :meth:`read` with a :class:`ReadRequest`.
-
-        Kept as a thin wrapper over the same engine (byte-identical,
-        pinned by ``tests/core/test_read_api.py``), preserving the
-        legacy ``store.decode`` span/manifest names. Returns
-        ``(bits, StoreReport)``.
-        """
-        warnings.warn(
-            "DnaStore.decode is deprecated; use "
-            "DnaStore.read(ReadRequest(reads, n_data_bits, ...))",
-            DeprecationWarning, stacklevel=2,
-        )
-        result = self._serve(
-            [ReadRequest(
-                reads=reads, n_data_bits=n_data_bits, ranking=ranking,
-                confidence_threshold=confidence_threshold,
-            )],
-            "store.decode",
-            {"n_units": self.units_needed(n_data_bits),
-             "n_data_bits": n_data_bits},
-        )[0]
-        return result.bits, result.report
-
-    def decode_pool(
-        self,
-        pool: ReadBatch,
-        n_data_bits: int,
-        clusterer: Optional[PoolClusterer] = None,
-        ranking: Optional[np.ndarray] = None,
-        confidence_threshold: Optional[float] = None,
-    ):
-        """Deprecated: use :meth:`read` with ``ReadRequest(pool=True)``.
-
-        Kept as a thin wrapper over the same engine (byte-identical,
-        pinned by ``tests/core/test_read_api.py``), preserving the
-        legacy ``store.decode_pool`` span/manifest names. Returns
-        ``(bits, StoreReport)``.
-        """
-        warnings.warn(
-            "DnaStore.decode_pool is deprecated; use "
-            "DnaStore.read(ReadRequest(pool_batch, n_data_bits, "
-            "pool=True, ...))",
-            DeprecationWarning, stacklevel=2,
-        )
-        n_units = self.units_needed(n_data_bits)
-        self._validate_pool(pool, n_units)
-        result = self._serve(
-            [ReadRequest(
-                reads=pool, n_data_bits=n_data_bits, pool=True,
-                clusterer=clusterer, ranking=ranking,
-                confidence_threshold=confidence_threshold,
-            )],
-            "store.decode_pool",
-            {"n_units": n_units, "n_reads": pool.n_reads,
-             "n_data_bits": n_data_bits},
-        )[0]
-        return result.bits, result.report
-
-    def decode_units(
-        self,
-        reads: StoreReads,
-        n_data_bits: int,
-        ranking: Optional[np.ndarray] = None,
-        confidence_threshold: Optional[float] = None,
-    ):
-        """Deprecated: use :meth:`read` with ``ReadRequest(
-        reference=True)``. Returns ``(bits, StoreReport)``."""
-        warnings.warn(
-            "DnaStore.decode_units is deprecated; use "
-            "DnaStore.read(ReadRequest(reads, n_data_bits, "
-            "reference=True))",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self._decode_units_reference(
-            reads, n_data_bits, ranking, confidence_threshold
-        )
-
-    def _decode_units_reference(
-        self,
-        reads: StoreReads,
-        n_data_bits: int,
-        ranking: Optional[np.ndarray] = None,
-        confidence_threshold: Optional[float] = None,
-    ):
-        """Frozen per-unit reference decode (one pipeline pass per unit).
-
-        The original store decode loop, kept — like the per-cluster
-        reconstructors in :mod:`repro.consensus.reference` — as the
-        differential baseline the batched engine is pinned against.
-        Accepts the same input forms and returns byte-identical results;
-        it is simply N reconstructor calls instead of one.
-        """
-        n_units = self.units_needed(n_data_bits)
-        received = [
-            self.pipeline.receive(
-                unit_reads, confidence_threshold=confidence_threshold
-            )
-            for unit_reads in self._per_unit_reads(reads, n_units)
-        ]
-        return self._correct_units(received, n_data_bits, ranking)
-
     def _emit_manifest(self, tracer, name: str) -> None:
         """Snapshot a recording tracer into a RunManifest.
 
@@ -576,20 +430,6 @@ class DnaStore:
         tracer.attach_manifest(
             build_manifest(tracer, name, config=self.pipeline.config)
         )
-
-    def _correct_units(self, received, n_data_bits, ranking):
-        """Batched RS correction + stripe reassembly (shared tail).
-
-        All units' dirty codewords decode through one
-        :meth:`~repro.core.pipeline.DnaStoragePipeline.correct_many`
-        call — a single batched errata wave (plus at most one
-        soft-erasure retry wave) for the whole store.
-        """
-        n_units = self.units_needed(n_data_bits)
-        corrected = self.pipeline.correct_many(
-            received, self._stripe_sizes(n_data_bits, n_units)
-        )
-        return self._assemble_bits(corrected, n_data_bits, ranking)
 
     @staticmethod
     def _stripe_sizes(n_data_bits: int, n_units: int) -> List[int]:

@@ -1,6 +1,6 @@
 """Differential suite: BatchedGreedyClusterer == the frozen string-plane
-GreedyClusterer (identical cluster assignments), plus batch-plumbing
-behaviour the string path has no counterpart for."""
+ReferenceGreedyClusterer (identical cluster assignments), plus
+batch-plumbing behaviour the string path has no counterpart for."""
 
 import numpy as np
 import pytest
@@ -12,11 +12,7 @@ from repro.channel import (
     SequencingSimulator,
 )
 from repro.channel.readbatch import ReadBatch
-from repro.cluster import (
-    BatchedGreedyClusterer,
-    GreedyClusterer,
-    ReferenceGreedyClusterer,
-)
+from repro.cluster import BatchedGreedyClusterer, ReferenceGreedyClusterer
 from repro.codec.basemap import random_bases
 
 
@@ -37,11 +33,9 @@ def clusters_as_strings(batch):
 
 
 def assert_same_clustering(batch, labeled, clusterer_args):
-    """Both string-plane clusterers and the batched one must agree."""
+    """The frozen string-plane clusterer and the batched one must agree."""
     reads = [batch.read_string(i) for i in range(batch.n_reads)]
     want = ReferenceGreedyClusterer(*clusterer_args).cluster(reads)
-    current = GreedyClusterer(*clusterer_args).cluster(reads)
-    assert [c.reads for c in want] == [c.reads for c in current]
     assert clusters_as_strings(labeled) == [c.reads for c in want]
     assert [int(s) for s in labeled.source_indices] \
         == [c.source_index for c in want]

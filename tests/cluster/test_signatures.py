@@ -6,7 +6,6 @@ import pytest
 from repro.channel import ErrorModel, FixedCoverage, SequencingSimulator
 from repro.channel.readbatch import ReadBatch
 from repro.cluster.reference import _qgram_signature as reference_signature
-from repro.cluster.greedy import _qgram_signature as greedy_signature
 from repro.cluster.signatures import (
     DENSE_SIGNATURE_BYTE_BUDGET,
     batch_signatures,
@@ -61,13 +60,6 @@ class TestQgramSignature:
         got = qgram_signature(bases_to_indices(read), q)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
-
-    def test_greedy_wrapper_matches_reference(self, rng):
-        for length in (0, 1, 2, 5, 50):
-            read = random_bases(length, rng)
-            np.testing.assert_array_equal(
-                greedy_signature(read, 3), reference_signature(read, 3)
-            )
 
 
 class TestBatchSignatures:

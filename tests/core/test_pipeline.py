@@ -187,15 +187,13 @@ class TestReceive:
 
     def test_truncated_estimate_dropped_not_crash(self, pipeline, rng):
         """Regression: an estimate whose length is not a whole number of
-        symbols used to crash ``_parse_indices`` with an opaque reshape
+        symbols used to crash the index parse with an opaque reshape
         ValueError; it must be dropped as unparseable like a bad index."""
         from repro.consensus import TwoWayReconstructor
 
         class TruncatingTwoWay(TwoWayReconstructor):
-            def reconstruct_many_indices(self, clusters, length):
-                estimates = list(super().reconstruct_many_indices(
-                    clusters, length
-                ))
+            def reconstruct_batch(self, batch, length):
+                estimates = list(super().reconstruct_batch(batch, length))
                 # Chop one base off the first consensus strand: its
                 # length is no longer a multiple of bases-per-symbol.
                 estimates[0] = estimates[0][:-1]

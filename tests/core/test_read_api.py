@@ -1,14 +1,13 @@
-"""The unified read surface: ReadRequest/ReadResult, wrapper parity.
+"""The unified read surface: ReadRequest/ReadResult and coalescing.
 
-Pins the API redesign's contract:
+Pins the read API's contract:
 
-* the deprecated ``decode``/``decode_pool``/``decode_units`` wrappers
-  warn and stay byte-identical to ``read`` with the equivalent request;
+* ``read`` agrees with the frozen per-unit reference decode and
+  validates pooled requests;
 * ``read_many`` coalesces heterogeneous requests (labeled, pooled,
-  reference, ranked, thresholded) and each answer is byte-identical to
-  serving the request alone;
-* the wrappers keep their legacy span/manifest names so existing traces
-  and tooling read unchanged.
+  ranked, thresholded) and each answer is byte-identical to serving the
+  request alone (and, for labeled reads, to the frozen reference);
+* ``read``/``read_many`` emit their own span and manifest names.
 """
 
 import numpy as np
@@ -22,6 +21,7 @@ from repro.core import (
     ReadRequest,
     ReadResult,
 )
+from repro.core.reference import _decode_units_reference
 from repro.core.store import DnaStore
 from repro.observability import Tracer, use_tracer
 
@@ -70,34 +70,8 @@ class TestReadResult:
 
 
 class TestDeprecatedWrappers:
-    def test_decode_warns_and_matches_read(self, fixture_store):
-        store = fixture_store
-        reads, bits, _ = sequence(store, seed=3)
-        new = store.read(ReadRequest(reads, bits.size))
-        with pytest.warns(DeprecationWarning, match="DnaStore.decode is"):
-            old_bits, old_report = store.decode(reads, bits.size)
-        np.testing.assert_array_equal(old_bits, new.bits)
-        assert old_report.clean == new.report.clean
-
-    def test_decode_pool_warns_and_matches_read(self, fixture_store):
-        store = fixture_store
-        pool, bits, _ = sequence(store, seed=4, labeled=False)
-        new = store.read(ReadRequest(pool, bits.size, pool=True))
-        with pytest.warns(DeprecationWarning, match="decode_pool"):
-            old_bits, old_report = store.decode_pool(pool, bits.size)
-        np.testing.assert_array_equal(old_bits, new.bits)
-        assert old_report.clean == new.report.clean
-
-    def test_decode_units_warns_and_matches_reference_read(
-        self, fixture_store
-    ):
-        store = fixture_store
-        reads, bits, _ = sequence(store, seed=5)
-        new = store.read(ReadRequest(reads, bits.size, reference=True))
-        with pytest.warns(DeprecationWarning, match="decode_units"):
-            old_bits, old_report = store.decode_units(reads, bits.size)
-        np.testing.assert_array_equal(old_bits, new.bits)
-        assert old_report.clean == new.report.clean
+    """What the retired ``decode``/``decode_pool``/``decode_units``
+    wrappers covered, asked of ``read`` directly."""
 
     def test_ranking_and_threshold_parity(self, fixture_store):
         store = fixture_store
@@ -105,17 +79,19 @@ class TestDeprecatedWrappers:
         new = store.read(ReadRequest(
             reads, bits.size, ranking=perm, confidence_threshold=None,
         ))
-        with pytest.warns(DeprecationWarning):
-            old_bits, _ = store.decode(reads, bits.size, ranking=perm)
+        old_bits, _ = _decode_units_reference(
+            store, reads, bits.size, ranking=perm
+        )
         np.testing.assert_array_equal(old_bits, new.bits)
         np.testing.assert_array_equal(new.bits, bits)
 
     def test_wrong_pool_count_still_rejected(self, fixture_store):
         store = fixture_store
         pool, bits, _ = sequence(store, seed=7, labeled=False)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="unit pools"):
-                store.decode_pool(pool, 3 * store.unit_capacity_bits)
+        with pytest.raises(ValueError, match="unit pools"):
+            store.read(ReadRequest(
+                pool, 3 * store.unit_capacity_bits, pool=True
+            ))
 
     def test_pooled_request_requires_a_batch(self, fixture_store):
         store = fixture_store
@@ -138,12 +114,14 @@ class TestCoalescing:
             ReadRequest(labeled2, bits2.size, ranking=perm2),
             ReadRequest(pool1, bits3.size, pool=True),
             ReadRequest(pool2, bits4.size, pool=True),
-            ReadRequest(ref, bits5.size, reference=True),
+            ReadRequest(ref, bits5.size),
         ]
         coalesced = store.read_many(requests)
         solo = [store.read(request) for request in requests]
         for together, alone in zip(coalesced, solo):
             np.testing.assert_array_equal(together.bits, alone.bits)
+        reference_bits, _ = _decode_units_reference(store, ref, bits5.size)
+        np.testing.assert_array_equal(coalesced[4].bits, reference_bits)
         for result, bits in zip(
             coalesced, (bits1, bits2, bits3, bits4, bits5)
         ):
@@ -217,36 +195,6 @@ class TestSpanAndManifestCompatibility:
         with use_tracer(tracer):
             store.read_many([ReadRequest(reads, bits.size)] * 2)
         assert [m.name for m in tracer.manifests] == ["store.read_many"]
-
-    def test_decode_wrapper_keeps_legacy_span_and_manifest(
-        self, fixture_store
-    ):
-        store = fixture_store
-        reads, bits, _ = sequence(store, seed=42)
-        tracer = Tracer()
-        with use_tracer(tracer):
-            with pytest.warns(DeprecationWarning):
-                store.decode(reads, bits.size)
-        assert [m.name for m in tracer.manifests] == ["store.decode"]
-        stages = tracer.stage_totals()
-        assert "store.decode" in stages
-        assert "store.read" not in stages
-        span = tracer.find("store.decode")
-        assert span.attributes["n_units"] == 2
-        assert span.attributes["n_data_bits"] == bits.size
-
-    def test_decode_pool_wrapper_keeps_legacy_span_and_manifest(
-        self, fixture_store
-    ):
-        store = fixture_store
-        pool, bits, _ = sequence(store, seed=43, labeled=False)
-        tracer = Tracer()
-        with use_tracer(tracer):
-            with pytest.warns(DeprecationWarning):
-                store.decode_pool(pool, bits.size)
-        assert [m.name for m in tracer.manifests] == ["store.decode_pool"]
-        span = tracer.find("store.decode_pool")
-        assert span.attributes["n_reads"] == pool.n_reads
 
 
 class TestPooledCoalescingDetail:

@@ -6,7 +6,7 @@ import pytest
 from repro.channel import ErrorModel, FixedCoverage, SequencingSimulator
 from repro.core import MatrixConfig, PipelineConfig
 from repro.core.ranking import proportional_share_ranking
-from repro.core.store import DnaStore
+from repro.core.store import DnaStore, ReadRequest
 
 CONFIG = PipelineConfig(
     matrix=MatrixConfig(m=8, n_columns=40, nsym=8, payload_rows=8),
@@ -44,9 +44,9 @@ class TestRoundtrip:
         bits = rng.integers(0, 2, store.unit_capacity_bits // 2).astype(np.uint8)
         image = store.encode(bits)
         assert image.n_units == 1
-        decoded, report = store.decode(
+        decoded, report = store.read(ReadRequest(
             _sequence_units(image, 0.0, 1, rng), bits.size
-        )
+        ))
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
 
@@ -56,9 +56,9 @@ class TestRoundtrip:
         image = store.encode(bits)
         assert image.n_units == 3
         assert image.total_strands == 3 * 40
-        decoded, report = store.decode(
+        decoded, report = store.read(ReadRequest(
             _sequence_units(image, 0.0, 1, rng), bits.size
-        )
+        ))
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
 
@@ -66,9 +66,9 @@ class TestRoundtrip:
         store = DnaStore(CONFIG)
         bits = rng.integers(0, 2, int(1.7 * store.unit_capacity_bits)).astype(np.uint8)
         image = store.encode(bits)
-        decoded, report = store.decode(
+        decoded, report = store.read(ReadRequest(
             _sequence_units(image, 0.05, 9, rng), bits.size
-        )
+        ))
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
 
@@ -81,9 +81,9 @@ class TestRoundtrip:
         ranking = proportional_share_ranking(sizes)
         bits = rng.integers(0, 2, n_bits).astype(np.uint8)
         image = store.encode(bits, ranking=ranking)
-        decoded, report = store.decode(
+        decoded, report = store.read(ReadRequest(
             _sequence_units(image, 0.0, 1, rng), bits.size, ranking=ranking,
-        )
+        ))
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
 
@@ -106,7 +106,7 @@ class TestValidation:
         image = store.encode(bits)
         clusters = _sequence_units(image, 0.0, 1, rng)
         with pytest.raises(ValueError):
-            store.decode(clusters[:1], bits.size)
+            store.read(ReadRequest(clusters[:1], bits.size))
 
     def test_bad_ranking_rejected(self, rng):
         store = DnaStore(CONFIG)
@@ -120,7 +120,7 @@ class TestValidation:
         image = store.encode(bits)
         clusters = _sequence_units(image, 0.0, 1, rng)
         clusters[0][3] = type(clusters[0][3])(source_index=3, reads=[])
-        decoded, report = store.decode(clusters, bits.size)
+        decoded, report = store.read(ReadRequest(clusters, bits.size))
         assert report.clean  # one erasure is well within nsym=8
         assert report.total_erased_columns == 1
         assert report.total_failed_codewords == 0

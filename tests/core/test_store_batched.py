@@ -1,10 +1,11 @@
 """Differential suite: store-plane batched decode == per-unit reference.
 
-``DnaStore.decode`` normalizes any input form into one spanning
+``DnaStore.read`` normalizes any input form into one spanning
 ``ReadBatch``, runs **one** consensus batch call over every surviving
 cluster of every unit, and parses the whole estimate stack with array
-operations (``pipeline.receive_many``). ``DnaStore.decode_units`` is the
-frozen per-unit loop it replaced. These tests pin the two byte-identical —
+operations (``pipeline.receive_many``).
+``repro.core.reference._decode_units_reference`` is the frozen per-unit
+loop it replaced. These tests pin the two byte-identical —
 bits and per-unit reports — across layouts, dropout-heavy channels,
 global rankings and confidence-threshold decoding, and pin the batched
 encoder against the frozen per-cell loop encoder the same way.
@@ -24,7 +25,11 @@ from repro.channel import (
 from repro.consensus import PosteriorReconstructor, TwoWayReconstructor
 from repro.core import MatrixConfig, PipelineConfig
 from repro.core.ranking import proportional_share_ranking
-from repro.core.store import DnaStore
+from repro.core.reference import (
+    _decode_units_reference,
+    encode_loop_reference,
+)
+from repro.core.store import DnaStore, ReadRequest
 
 CONFIG = PipelineConfig(
     matrix=MatrixConfig(m=8, n_columns=40, nsym=8, payload_rows=8),
@@ -62,7 +67,7 @@ class TestBatchedEncode:
         store = DnaStore(config)
         bits = rng.integers(0, 2, store.unit_capacity_bits - 11).astype(np.uint8)
         batched = store.pipeline.encode(bits)
-        reference = store.pipeline.encode_loop_reference(bits)
+        reference = encode_loop_reference(store.pipeline, bits)
         assert batched.strands == reference.strands
         np.testing.assert_array_equal(batched.matrix, reference.matrix)
         assert batched.n_data_bits == reference.n_data_bits
@@ -72,7 +77,7 @@ class TestBatchedEncode:
         bits = rng.integers(0, 2, pipeline.capacity_bits // 2).astype(np.uint8)
         ranking = rng.permutation(bits.size)
         batched = pipeline.encode(bits, ranking=ranking)
-        reference = pipeline.encode_loop_reference(bits, ranking=ranking)
+        reference = encode_loop_reference(pipeline, bits, ranking=ranking)
         assert batched.strands == reference.strands
         np.testing.assert_array_equal(batched.matrix, reference.matrix)
 
@@ -87,7 +92,8 @@ class TestBatchedEncode:
         padded = np.zeros(n_units * store.unit_capacity_bits, dtype=np.uint8)
         padded[: bits.size] = bits
         for u, unit in enumerate(image.units):
-            reference = store.pipeline.encode_loop_reference(
+            reference = encode_loop_reference(
+                store.pipeline,
                 padded[u::n_units][: len(range(u, bits.size, n_units))]
             )
             assert unit.strands == reference.strands
@@ -97,8 +103,10 @@ class TestBatchedEncode:
 class TestBatchedDecodeDifferential:
     def test_multi_unit_spanning_batch(self, rng):
         store, bits, _, batch = make_store_case(rng)
-        got_bits, got_report = store.decode(batch, bits.size)
-        want_bits, want_report = store.decode_units(batch, bits.size)
+        got_bits, got_report = store.read(ReadRequest(batch, bits.size))
+        want_bits, want_report = _decode_units_reference(
+            store, batch, bits.size
+        )
         np.testing.assert_array_equal(got_bits, want_bits)
         assert_reports_equal(got_report, want_report)
 
@@ -115,8 +123,10 @@ class TestBatchedDecodeDifferential:
         )
         batch = simulator.sequence_store(image, rng=rng)
         assert batch.lost_clusters().size > 0
-        got_bits, got_report = store.decode(batch, bits.size)
-        want_bits, want_report = store.decode_units(batch, bits.size)
+        got_bits, got_report = store.read(ReadRequest(batch, bits.size))
+        want_bits, want_report = _decode_units_reference(
+            store, batch, bits.size
+        )
         np.testing.assert_array_equal(got_bits, want_bits)
         assert_reports_equal(got_report, want_report)
         assert got_report.total_erased_columns > 0
@@ -133,9 +143,11 @@ class TestBatchedDecodeDifferential:
             ErrorModel.uniform(0.04), FixedCoverage(8)
         )
         batch = simulator.sequence_store(image, rng=rng)
-        got_bits, got_report = store.decode(batch, n_bits, ranking=ranking)
-        want_bits, want_report = store.decode_units(
-            batch, n_bits, ranking=ranking
+        got_bits, got_report = store.read(
+            ReadRequest(batch, n_bits, ranking=ranking)
+        )
+        want_bits, want_report = _decode_units_reference(
+            store, batch, n_bits, ranking=ranking
         )
         np.testing.assert_array_equal(got_bits, want_bits)
         assert_reports_equal(got_report, want_report)
@@ -150,11 +162,11 @@ class TestBatchedDecodeDifferential:
                 channel=ErrorModel.uniform(0.08)
             ),
         )
-        got_bits, got_report = store.decode(
+        got_bits, got_report = store.read(ReadRequest(
             batch, bits.size, confidence_threshold=0.95
-        )
-        want_bits, want_report = store.decode_units(
-            batch, bits.size, confidence_threshold=0.95
+        ))
+        want_bits, want_report = _decode_units_reference(
+            store, batch, bits.size, confidence_threshold=0.95
         )
         np.testing.assert_array_equal(got_bits, want_bits)
         assert_reports_equal(got_report, want_report)
@@ -169,16 +181,22 @@ class TestBatchedDecodeDifferential:
             for u in range(image.n_units)
         ]
         per_unit_clusters = [b.to_clusters() for b in per_unit_batches]
-        spanning, _ = store.decode(batch, bits.size)
-        from_batches, _ = store.decode(per_unit_batches, bits.size)
-        from_clusters, _ = store.decode(per_unit_clusters, bits.size)
+        spanning, _ = store.read(ReadRequest(batch, bits.size))
+        from_batches, _ = store.read(
+            ReadRequest(per_unit_batches, bits.size)
+        )
+        from_clusters, _ = store.read(
+            ReadRequest(per_unit_clusters, bits.size)
+        )
         np.testing.assert_array_equal(spanning, from_batches)
         np.testing.assert_array_equal(spanning, from_clusters)
 
     def test_single_unit_store(self, rng):
         store, bits, _, batch = make_store_case(rng, n_units_fraction=0.6)
-        got_bits, got_report = store.decode(batch, bits.size)
-        want_bits, want_report = store.decode_units(batch, bits.size)
+        got_bits, got_report = store.read(ReadRequest(batch, bits.size))
+        want_bits, want_report = _decode_units_reference(
+            store, batch, bits.size
+        )
         np.testing.assert_array_equal(got_bits, want_bits)
         assert_reports_equal(got_report, want_report)
         np.testing.assert_array_equal(got_bits, bits)
@@ -186,11 +204,11 @@ class TestBatchedDecodeDifferential:
     def test_wrong_cluster_count_rejected(self, rng):
         store, bits, _, batch = make_store_case(rng)
         with pytest.raises(ValueError):
-            store.decode(
+            store.read(ReadRequest(
                 batch.select_clusters(0, CONFIG.matrix.n_columns), bits.size
-            )
+            ))
         with pytest.raises(ValueError):
-            store.decode_units([batch.to_clusters()], bits.size)
+            _decode_units_reference(store, [batch.to_clusters()], bits.size)
 
 
 class TestSingleBatchCall:
@@ -206,7 +224,7 @@ class TestSingleBatchCall:
             rng, n_units_fraction=4.2, reconstructor=CountingTwoWay()
         )
         assert image.n_units >= 4
-        decoded, report = store.decode(batch, bits.size)
+        decoded, report = store.read(ReadRequest(batch, bits.size))
         assert len(calls) == 1
         assert calls[0] == batch.drop_lost().n_clusters
 
@@ -221,8 +239,37 @@ class TestSingleBatchCall:
         store, bits, image, batch = make_store_case(
             rng, n_units_fraction=4.2, reconstructor=CountingTwoWay()
         )
-        store.decode_units(batch, bits.size)
+        _decode_units_reference(store, batch, bits.size)
         assert len(calls) == image.n_units
+
+
+class TestMalformedEstimates:
+    def test_wrong_length_estimate_counts_as_invalid_strand(self, rng):
+        """A reconstructor returning an estimate of the wrong length must
+        not crash the store read: the estimate counts as an invalid
+        strand and its column stays erased, as in the frozen loop."""
+
+        class ChoppingTwoWay(TwoWayReconstructor):
+            def reconstruct_batch(self, batch, length):
+                estimates = list(super().reconstruct_batch(batch, length))
+                estimates[0] = estimates[0][:-1]
+                return estimates
+
+        store, bits, _, batch = make_store_case(
+            rng, n_units_fraction=1.0, rate=0.02,
+            reconstructor=ChoppingTwoWay(),
+        )
+        got_bits, got_report = store.read(ReadRequest(batch, bits.size))
+        want_bits, want_report = _decode_units_reference(
+            store, batch, bits.size
+        )
+        np.testing.assert_array_equal(got_bits, want_bits)
+        assert_reports_equal(got_report, want_report)
+        assert got_report.total_erased_columns >= 1
+        received = store.pipeline.receive(batch)
+        assert received.invalid_strands == 1
+        assert 0 in received.erased_columns
+        np.testing.assert_array_equal(got_bits, bits)
 
 
 class TestReadPoolForStore:
@@ -237,7 +284,7 @@ class TestReadPoolForStore:
         )
         assert len(pool) == image.total_strands
         batch = pool.batch_at(8)
-        decoded, report = store.decode(batch, bits.size)
+        decoded, report = store.read(ReadRequest(batch, bits.size))
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
 
@@ -252,8 +299,10 @@ class TestReadPoolForStore:
         )
         for coverage in (2, 4, 6):
             batch = pool.batch_at(coverage)
-            got, got_report = store.decode(batch, bits.size)
-            want, want_report = store.decode_units(batch, bits.size)
+            got, got_report = store.read(ReadRequest(batch, bits.size))
+            want, want_report = _decode_units_reference(
+                store, batch, bits.size
+            )
             np.testing.assert_array_equal(got, want)
             assert_reports_equal(got_report, want_report)
 

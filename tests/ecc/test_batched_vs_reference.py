@@ -6,7 +6,7 @@ counts, and which rows fail — across error/erasure mixes at, below, and
 beyond capability, duplicate and boundary erasure indices, shortened
 codes, and all-erasure rows. The pipeline's two-wave soft-erasure routing
 (``correct_matrix_many``) is pinned the same way against the frozen
-per-codeword loop (``correct_matrix_loop_reference``).
+per-codeword loop (``repro.core.reference.correct_matrix_loop_reference``).
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ from repro.core.pipeline import (
     PipelineConfig,
     ReceivedUnit,
 )
+from repro.core.reference import correct_matrix_loop_reference
 from repro.ecc import DecodeFailure, ReedSolomon, ReferenceReedSolomon
 
 #: (m, nsym, n) codec shapes: small shortened, odd-field, mid shortened,
@@ -253,7 +254,7 @@ class TestSoftErasureWaves:
         batched = pipeline.correct_matrix_many(units)
         for unit, (matrix, report) in zip(units, batched):
             want_matrix, want_report = \
-                pipeline.correct_matrix_loop_reference(unit)
+                correct_matrix_loop_reference(pipeline, unit)
             np.testing.assert_array_equal(matrix, want_matrix)
             assert report.failed_codewords == want_report.failed_codewords
             assert report.corrected_symbols == want_report.corrected_symbols
@@ -294,7 +295,7 @@ class TestSoftErasureWaves:
             ReedSolomon.decode_many = original
         assert len(calls) == 2, "misleading flags must trigger wave 2"
         want_matrix, want_report = \
-            pipeline.correct_matrix_loop_reference(unit)
+            correct_matrix_loop_reference(pipeline, unit)
         np.testing.assert_array_equal(got_matrix, want_matrix)
         assert got_report.failed_codewords == want_report.failed_codewords
         assert got_report.failed_codewords == []

@@ -16,11 +16,11 @@ batched sweeps must lead their frozen per-cluster references by at least
 machine), plus an absolute ceiling. The store plane gets the same
 treatment: one spanning decode of a 32-unit payload must issue exactly
 one reconstructor batch call and lead the frozen per-unit loop
-(``DnaStore.decode_units``) by at least 3x. The errata plane closes the
-loop: a store decode must route every unit's codewords through exactly
-one ``ReedSolomon.decode_many`` call, and the batched chain must lead
-the frozen per-codeword scalar loop by at least 3x on an all-dirty
-multi-unit store.
+(``repro.core.reference._decode_units_reference``) by at least 3x. The
+errata plane closes the loop: a store decode must route every unit's
+codewords through exactly one ``ReedSolomon.decode_many`` call, and the
+batched chain must lead the frozen per-codeword scalar loop by at least
+3x on an all-dirty multi-unit store.
 """
 
 import time
@@ -30,7 +30,11 @@ import pytest
 
 from repro.channel import ErrorModel, FixedCoverage, SequencingSimulator
 from repro.core import DnaStoragePipeline, MatrixConfig, PipelineConfig
-from repro.core.store import DnaStore
+from repro.core.reference import (
+    _decode_units_reference,
+    correct_matrix_loop_reference,
+)
+from repro.core.store import DnaStore, ReadRequest
 
 #: Seconds allowed for one small-unit decode (receive + RS correction).
 DECODE_BUDGET_SECONDS = 2.0
@@ -238,7 +242,7 @@ class TestPerfBudget:
         """The store plane is the batching boundary: decoding a many-unit
         payload must issue exactly *one* reconstructor batch call, return
         bits byte-identical to the frozen per-unit loop
-        (``DnaStore.decode_units``), and lead it by at least 3x (measured
+        (``_decode_units_reference``), and lead it by at least 3x (measured
         ~4.5x on the development machine). Many small units make the
         per-call overhead the reference pays 32 times the dominant cost —
         only a regression of the spanning path back to per-unit
@@ -266,11 +270,11 @@ class TestPerfBudget:
             ErrorModel.uniform(0.01), FixedCoverage(5)
         )
         batch = simulator.sequence_store(image, rng=1)
-        store.decode(batch, bits.size)  # warm-up
+        store.read(ReadRequest(batch, bits.size))  # warm-up
 
         calls.clear()
         start = time.perf_counter()
-        decoded, report = store.decode(batch, bits.size)
+        decoded, report = store.read(ReadRequest(batch, bits.size))
         batched_seconds = time.perf_counter() - start
         assert len(calls) == 1, (
             f"store decode issued {len(calls)} reconstructor batch calls; "
@@ -278,7 +282,9 @@ class TestPerfBudget:
         )
 
         start = time.perf_counter()
-        expected, expected_report = store.decode_units(batch, bits.size)
+        expected, expected_report = _decode_units_reference(
+            store, batch, bits.size
+        )
         reference_seconds = time.perf_counter() - start
 
         np.testing.assert_array_equal(decoded, expected)
@@ -322,7 +328,7 @@ class TestPerfBudget:
 
         rs.decode_many = counting
         try:
-            decoded, report = store.decode(batch, bits.size)
+            decoded, report = store.read(ReadRequest(batch, bits.size))
         finally:
             del rs.decode_many
         assert len(calls) == 1, (
@@ -370,9 +376,9 @@ class TestPerfBudget:
         batched = pipeline.correct_matrix_many(units)
         batched_seconds = time.perf_counter() - start
 
-        pipeline.correct_matrix_loop_reference(units[0])  # warm-up
+        correct_matrix_loop_reference(pipeline, units[0])  # warm-up
         start = time.perf_counter()
-        expected = [pipeline.correct_matrix_loop_reference(unit)
+        expected = [correct_matrix_loop_reference(pipeline, unit)
                     for unit in units]
         reference_seconds = time.perf_counter() - start
 
@@ -492,7 +498,7 @@ class TestPerfBudget:
         """The full quickstart-config pool (120 strands x coverage 10)
         must cluster within the absolute budget, and the end-to-end
         unlabeled decode — ``sequence_store(labeled=False)`` -> cluster
-        -> ``DnaStore.decode`` plumbing — must round-trip the payload
+        -> ``DnaStore.read`` plumbing — must round-trip the payload
         byte-identically."""
         matrix = MatrixConfig(m=8, n_columns=120, nsym=22, payload_rows=16)
         store = DnaStore(PipelineConfig(matrix=matrix))
@@ -506,7 +512,7 @@ class TestPerfBudget:
         assert pool.n_reads == 1200
 
         start = time.perf_counter()
-        decoded, report = store.decode_pool(pool, bits.size)
+        decoded, report = store.read(ReadRequest(pool, bits.size, pool=True))
         elapsed = time.perf_counter() - start
 
         assert report.clean
@@ -574,10 +580,10 @@ class TestTracingBudget:
         from repro.observability import Tracer, use_tracer
 
         store, batch, bits = self.quickstart_store()
-        off_decoded, off_report = store.decode(batch, bits.size)
+        off_decoded, off_report = store.read(ReadRequest(batch, bits.size))
         tracer = Tracer()
         with use_tracer(tracer):
-            on_decoded, on_report = store.decode(batch, bits.size)
+            on_decoded, on_report = store.read(ReadRequest(batch, bits.size))
         np.testing.assert_array_equal(on_decoded, off_decoded)
         np.testing.assert_array_equal(off_decoded, bits)
         assert on_report.clean == off_report.clean
@@ -598,14 +604,13 @@ class TestTracingBudget:
         from repro.observability.trace import get_tracer
 
         store, batch, bits = self.quickstart_store()
-        store.decode(batch, bits.size)  # warm-up
-        decode_seconds, _ = best_of(
-            3, lambda: store.decode(batch, bits.size)
-        )
+        request = ReadRequest(batch, bits.size)
+        store.read(request)  # warm-up
+        decode_seconds, _ = best_of(3, lambda: store.read(request))
 
         tracer = Tracer()
         with use_tracer(tracer):
-            store.decode(batch, bits.size)
+            store.read(request)
         span_calls = sum(
             entry["calls"] for entry in tracer.stage_totals().values()
         )

@@ -21,7 +21,7 @@ from repro.channel import (
 from repro.cluster import BatchedGreedyClusterer, LSHClusterer
 from repro.consensus import PosteriorReconstructor
 from repro.core import DnaStoragePipeline, MatrixConfig, PipelineConfig
-from repro.core.store import DnaStore
+from repro.core.store import DnaStore, ReadRequest
 
 MATRIX = MatrixConfig(m=8, n_columns=40, nsym=8, payload_rows=8)
 
@@ -78,7 +78,9 @@ class TestStorePoolDecode:
         )
         pool = simulator.sequence_store(image, rng=3, labeled=False)
         assert pool.n_clusters == image.n_units
-        decoded, report = store.decode_pool(pool, bits.size)
+        decoded, report = store.read(
+            ReadRequest(pool, bits.size, pool=True)
+        )
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
 
@@ -93,8 +95,10 @@ class TestStorePoolDecode:
         )
         labeled = simulator.sequence_store(image, rng=9)
         unlabeled = simulator.sequence_store(image, rng=9, labeled=False)
-        want, _ = store.decode(labeled, bits.size)
-        got, report = store.decode_pool(unlabeled, bits.size)
+        want, _ = store.read(ReadRequest(labeled, bits.size))
+        got, report = store.read(
+            ReadRequest(unlabeled, bits.size, pool=True)
+        )
         assert report.clean
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got, bits)
@@ -114,10 +118,10 @@ class TestStorePoolDecode:
         clusterer = LSHClusterer.for_strand_length(
             store.pipeline.matrix_config.strand_length
         )
-        want, _ = store.decode(labeled, bits.size)
-        got, report = store.decode_pool(
-            unlabeled, bits.size, clusterer=clusterer
-        )
+        want, _ = store.read(ReadRequest(labeled, bits.size))
+        got, report = store.read(ReadRequest(
+            unlabeled, bits.size, pool=True, clusterer=clusterer
+        ))
         assert report.clean
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got, bits)
@@ -137,9 +141,9 @@ class TestStorePoolDecode:
             ErrorModel.uniform(0.04), FixedCoverage(6)
         )
         pool = simulator.sequence_store(image, rng=4, labeled=False)
-        decoded, report = store.decode_pool(
-            pool, bits.size, confidence_threshold=0.6
-        )
+        decoded, report = store.read(ReadRequest(
+            pool, bits.size, pool=True, confidence_threshold=0.6
+        ))
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
 
@@ -152,7 +156,8 @@ class TestStorePoolDecode:
         )
         labeled = simulator.sequence_store(image, rng=2)
         with pytest.raises(ValueError):
-            store.decode_pool(labeled, bits.size)  # 80 pools, not 2
+            # 80 pools, not 2
+            store.read(ReadRequest(labeled, bits.size, pool=True))
 
     def test_labeled_default_unchanged(self):
         """labeled=True (the default) still emits the strand-granular

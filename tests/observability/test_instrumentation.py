@@ -13,14 +13,14 @@ import pytest
 from repro.channel import ErrorModel, FixedCoverage, SequencingSimulator
 from repro.cli import main as cli_main
 from repro.core import MatrixConfig, PipelineConfig
-from repro.core.store import DnaStore
+from repro.core.store import DnaStore, ReadRequest
 from repro.observability import Tracer, use_tracer, validate_manifest
 
 MATRIX = MatrixConfig(m=8, n_columns=40, nsym=8, payload_rows=8)
 
 
 def traced_pool_decode(seed=3, rate=0.05):
-    """Run sequence_store + decode_pool under one tracer; return
+    """Run sequence_store + a pooled read under one tracer; return
     (tracer, decoded bits, report, payload bits)."""
     store = DnaStore(PipelineConfig(matrix=MATRIX))
     rng = np.random.default_rng(17)
@@ -34,7 +34,9 @@ def traced_pool_decode(seed=3, rate=0.05):
     tracer.context["seed"] = seed
     with use_tracer(tracer):
         pool = simulator.sequence_store(image, rng=seed, labeled=False)
-        decoded, report = store.decode_pool(pool, bits.size)
+        decoded, report = store.read(
+            ReadRequest(pool, bits.size, pool=True)
+        )
     return tracer, decoded, report, bits
 
 
@@ -53,7 +55,7 @@ class TestDecodePoolManifest:
         tracer = traced_run[0]
         assert len(tracer.manifests) == 1
         manifest = tracer.manifests[0]
-        assert manifest.name == "store.decode_pool"
+        assert manifest.name == "store.read"
         assert validate_manifest(manifest.to_dict()) is not None
 
     def test_manifest_covers_every_pipeline_stage(self, traced_run):
@@ -64,7 +66,7 @@ class TestDecodePoolManifest:
             "consensus.reconstruct",  # trace reconstruction
             "pipeline.receive_many",  # index parse + column assembly
             "rs.decode_words",       # RS errata correction
-            "store.decode_pool",     # the enclosing store span
+            "store.read",            # the enclosing store span
         ):
             assert stage in manifest.stages, stage
             assert manifest.stages[stage]["seconds"] >= 0.0
@@ -103,11 +105,11 @@ class TestDecodePoolManifest:
         batch = simulator.sequence_store(image, rng=7)
         tracer = Tracer()
         with use_tracer(tracer):
-            decoded, report = store.decode(batch, bits.size)
+            decoded, report = store.read(ReadRequest(batch, bits.size))
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
         manifest = tracer.manifests[0]
-        assert manifest.name == "store.decode"
+        assert manifest.name == "store.read"
         assert "rs.decode_words" in manifest.stages
         assert manifest.counter("rs.codewords") > 0
 
@@ -129,10 +131,10 @@ class TestDecodePoolManifest:
         tracer.auto_manifest = False
         with use_tracer(tracer):
             for _ in range(3):
-                store.decode(batch, bits.size)
+                store.read(ReadRequest(batch, bits.size))
         assert tracer.manifests == []
         aggregate = build_manifest(tracer, "sweep")
-        assert aggregate.stages["store.decode"]["calls"] == 3
+        assert aggregate.stages["store.read"]["calls"] == 3
         assert aggregate.counter("rs.codewords") > 0
 
 
@@ -142,7 +144,7 @@ class TestCliReport:
         path = traced_run[0].manifests[0].save(tmp_path / "run.json")
         assert cli_main(["report", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "# Run manifest: store.decode_pool" in out
+        assert "# Run manifest: store.read" in out
         assert "## Stages" in out
         assert "rs.decode_words" in out
 
