@@ -31,7 +31,8 @@ import numpy as np
 from benchmarks.conftest import print_series
 from repro.channel import ErrorModel, FixedCoverage, SequencingSimulator
 from repro.cluster import BatchedGreedyClusterer, pair_precision_recall
-from repro.core import DnaStoragePipeline, MatrixConfig, PipelineConfig
+from repro.core import MatrixConfig, PipelineConfig
+from repro.core.store import DnaStore, ReadRequest
 
 MATRIX = MatrixConfig(m=8, n_columns=120, nsym=22, payload_rows=16)
 ERROR_RATES = (0.02, 0.04, 0.06, 0.08, 0.10)
@@ -40,9 +41,9 @@ COVERAGE = 6
 
 def _one_rate(rate, rng):
     generator = np.random.default_rng(rng)
-    pipeline = DnaStoragePipeline(PipelineConfig(matrix=MATRIX))
+    store = DnaStore(PipelineConfig(matrix=MATRIX))
     bits = generator.integers(0, 2, MATRIX.data_bits).astype(np.uint8)
-    unit = pipeline.encode(bits)
+    (unit,) = store.encode(bits).units
     simulator = SequencingSimulator(
         ErrorModel.uniform(rate), FixedCoverage(COVERAGE)
     )
@@ -61,10 +62,11 @@ def _one_rate(rate, rng):
     predicted, n_clusters = clusterer.assign(pool)
     elapsed = time.perf_counter() - start
     precision, recall = pair_precision_recall(truth, predicted)
-    decoded, report = pipeline.decode_pool(pool, bits.size,
-                                           clusterer=clusterer)
+    decoded, report = store.read(
+        ReadRequest(pool, bits.size, pool=True, clusterer=clusterer)
+    )
     unlabeled_exact = report.clean and np.array_equal(decoded, bits)
-    reference, labeled_report = pipeline.decode(labeled, bits.size)
+    reference, labeled_report = store.read(ReadRequest(labeled, bits.size))
     labeled_exact = labeled_report.clean \
         and np.array_equal(reference, bits)
     return {

@@ -172,8 +172,8 @@ def main() -> None:
     # the pairs, the same exact banded edit DP verifies every one, so
     # precision stays 1.0 while candidates grow near-linearly with the
     # pool (>5x faster than greedy at 50k reads; see
-    # benchmarks/test_fig_lsh_scaling.py). Same swap on pipeline.decode_pool,
-    # StoreService.put, and `repro.cli serve --pool --clusterer lsh`.
+    # benchmarks/test_fig_lsh_scaling.py). Same swap on StoreService.put
+    # and `repro.cli serve --pool --clusterer lsh`.
     from repro import LSHClusterer
 
     lsh = LSHClusterer.for_strand_length(matrix.strand_length)

@@ -115,8 +115,8 @@ the frozen sequential greedy scan (``repro.cluster.reference``) at ~30x
 its speed on the quickstart pool —
 then feeds the recovered clusters through the same single
 ``receive_many`` pass as labeled reads; each consensus strand names its
-column via the embedded index field. The same path exists per unit as
-``pipeline.decode_pool(batch.pooled(rng=...), ...)``.
+column via the embedded index field. A single unit's pool is a
+one-unit request: ``ReadRequest(batch.pooled(rng=...), n, pool=True)``.
 
 Large pools swap the clustering engine without touching the decode
 path: :class:`~repro.cluster.LSHClusterer` generates candidate pairs
@@ -139,7 +139,7 @@ identical recovery-quality floors (pair precision 1.0, recall bounds in
     )
 
 Every pooled surface takes the same ``clusterer=`` swap:
-``pipeline.decode_pool``, ``ReadRequest``, ``StoreService.put`` and the CLI's
+``ReadRequest``, ``StoreService.put`` and the CLI's
 ``serve --pool --clusterer lsh``.
 
 Scenario sweeps ride the same engine: ``ReadPool`` stores its pool as one

@@ -94,16 +94,27 @@ class ReadBatch:
         clusters: Sequence[Sequence[np.ndarray]],
         source_indices: Optional[Sequence[int]] = None,
     ) -> "ReadBatch":
-        """Pack per-cluster lists of index arrays into one batch (copies)."""
+        """Pack per-cluster lists of index arrays into one batch (copies).
+
+        Symbols must lie in ``[0, 255]`` (the buffer is ``uint8``); a value
+        outside raises ``ValueError`` instead of wrapping around.
+        """
         reads: List[np.ndarray] = []
         cluster_ids: List[int] = []
         for c, cluster in enumerate(clusters):
             for read in cluster:
-                reads.append(np.asarray(read, dtype=np.uint8))
+                reads.append(np.asarray(read))
                 cluster_ids.append(c)
         lengths = np.array([r.size for r in reads], dtype=np.int64)
         buffer = (np.concatenate(reads) if reads
                   else np.zeros(0, dtype=np.uint8))
+        if buffer.dtype != np.uint8 and buffer.size:
+            outside = (buffer < 0) | (buffer > 255)
+            if outside.any():
+                raise ValueError(
+                    f"read symbol {buffer[outside][0]} outside [0, 255]"
+                )
+        buffer = buffer.astype(np.uint8, copy=False)
         offsets = np.cumsum(lengths) - lengths
         return cls(
             buffer, offsets, lengths,

@@ -1,4 +1,4 @@
-"""Shared reconstruction interface and voting helpers.
+"""Shared reconstruction interface.
 
 All reconstructors implement :class:`Reconstructor`: given a cluster of
 noisy reads and the original length L, return a best-estimate string of
@@ -10,23 +10,31 @@ length by construction).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
+from repro.channel.readbatch import ReadBatch
 from repro.codec.basemap import bases_to_indices, indices_to_bases
 
 
 class Reconstructor:
     """Interface for consensus-finding algorithms.
 
-    Besides the one-cluster entry points, every reconstructor exposes a
-    *batch* API (:meth:`reconstruct_many` / :meth:`reconstruct_many_indices`)
-    taking a whole unit's worth of clusters at once. The default
-    implementations simply loop; engines that can advance many clusters
-    simultaneously (the pointer scans in :mod:`repro.consensus.bma`)
-    override the index variant with a genuinely batched computation, which
-    is where the pipeline's decode speed comes from.
+    Every reconstructor has one engine feed, the columnar
+    :meth:`reconstruct_batch`, and the list-shaped entry points
+    (:meth:`reconstruct`, :meth:`reconstruct_indices`,
+    :meth:`reconstruct_many`, :meth:`reconstruct_many_indices`) are thin
+    packs onto it, written once here. A subclass overrides exactly one
+    primitive:
+
+    * the batched engines override :meth:`reconstruct_batch` and consume
+      the batch's padded read matrix whole (the pointer scans in
+      :mod:`repro.consensus.bma` advance every cluster simultaneously,
+      which is where the pipeline's decode speed comes from);
+    * the frozen single-cluster oracles in :mod:`repro.consensus.reference`
+      override :meth:`reconstruct_indices`, which the default
+      :meth:`reconstruct_batch` loops over the batch's clusters.
     """
 
     def reconstruct(self, reads: Sequence[str], length: int) -> str:
@@ -36,14 +44,14 @@ class Reconstructor:
         length even for degenerate inputs (empty cluster, all-empty reads);
         the pipeline treats obviously-degenerate output as erasures upstream.
         """
-        raise NotImplementedError
+        arrays = [bases_to_indices(read) for read in reads]
+        return indices_to_bases(self.reconstruct_indices(arrays, length))
 
     def reconstruct_indices(
         self, reads: Sequence[np.ndarray], length: int
     ) -> np.ndarray:
-        """Index-array variant; default converts through strings."""
-        strands = [indices_to_bases(r) for r in reads]
-        return bases_to_indices(self.reconstruct(strands, length))
+        """Index-array variant: a one-cluster :meth:`reconstruct_many_indices`."""
+        return self.reconstruct_many_indices([reads], length)[0]
 
     def reconstruct_many(
         self, clusters: Sequence[Sequence[str]], length: int
@@ -51,44 +59,50 @@ class Reconstructor:
         """Reconstruct every cluster of a unit; one estimate per cluster.
 
         ``clusters[i]`` is the read list of cluster ``i``; the result keeps
-        cluster order. Batched engines produce output identical to calling
-        :meth:`reconstruct` per cluster — only faster.
+        cluster order, row for row what :meth:`reconstruct_batch` returns
+        for the same clusters.
         """
-        index_clusters = [
-            [bases_to_indices(read) for read in reads] for reads in clusters
-        ]
         return [
             indices_to_bases(estimate)
-            for estimate in self.reconstruct_many_indices(index_clusters, length)
+            for estimate in self.reconstruct_batch(
+                ReadBatch.from_strings(clusters), length
+            )
         ]
 
     def reconstruct_many_indices(
         self, clusters: Sequence[Sequence[np.ndarray]], length: int
     ) -> List[np.ndarray]:
-        """Index-array batch variant; default loops over the clusters."""
-        return [self.reconstruct_indices(reads, length) for reads in clusters]
+        """Index-array batch variant: packs the clusters into one
+        :class:`~repro.channel.readbatch.ReadBatch` for
+        :meth:`reconstruct_batch`."""
+        return list(self.reconstruct_batch(ReadBatch.from_arrays(clusters),
+                                           length))
 
-    def reconstruct_batch(self, batch, length: int) -> np.ndarray:
+    def reconstruct_batch(self, batch: ReadBatch, length: int) -> np.ndarray:
         """Columnar batch variant: estimates for a whole
         :class:`~repro.channel.readbatch.ReadBatch` as one
         ``(n_clusters, length)`` array.
 
-        This is the string-free decode hot path: the batch's flat buffer
-        feeds the engine directly. The default unpacks the batch into
-        per-cluster index lists (zero-copy views); the pointer-scan
-        engines override it to consume the batch's padded matrix whole.
-        Lost clusters receive the engine's degenerate (fill) estimate —
-        callers that must not see them drop them first
-        (:meth:`~repro.channel.readbatch.ReadBatch.drop_lost`).
+        This is the string-free decode hot path and the one engine feed.
+        The batched engines override it to consume the batch's padded
+        matrix whole; the default loops :meth:`reconstruct_indices` over
+        the batch's clusters (zero-copy views), which is how the
+        single-cluster oracles ride it. Lost clusters receive the engine's
+        degenerate (fill) estimate — callers that must not see them drop
+        them first (:meth:`~repro.channel.readbatch.ReadBatch.drop_lost`).
         """
-        estimates = self.reconstruct_many_indices(
-            batch.clusters_as_indices(), length
-        )
+        if type(self).reconstruct_indices is Reconstructor.reconstruct_indices:
+            raise NotImplementedError(
+                f"{type(self).__name__} must override reconstruct_batch "
+                "or reconstruct_indices"
+            )
+        estimates = [self.reconstruct_indices(reads, length)
+                     for reads in batch.clusters_as_indices()]
         if not estimates:
             return np.zeros((0, length), dtype=np.int64)
         return np.stack([np.asarray(e, dtype=np.int64) for e in estimates])
 
-    def reconstruct_batch_with_confidence(self, batch, length: int):
+    def reconstruct_batch_with_confidence(self, batch: ReadBatch, length: int):
         """Columnar confidence variant: ``(estimate, confidence)`` pairs
         for a whole :class:`~repro.channel.readbatch.ReadBatch`.
 
@@ -96,87 +110,11 @@ class Reconstructor:
         confidence (``reconstruct_with_confidence``, see
         :class:`repro.consensus.posterior.PosteriorReconstructor`, which
         overrides this with a genuinely batched lattice sweep); the
-        default unpacks the batch into zero-copy index lists and rides
-        the best per-cluster confidence entry point available. Calling it
-        on a reconstructor without confidence output raises
-        ``AttributeError``.
+        default rides the per-cluster ``reconstruct_with_confidence`` over
+        zero-copy index lists. Calling it on a reconstructor without
+        confidence output raises ``AttributeError``.
         """
-        index_clusters = batch.clusters_as_indices()
-        if hasattr(self, "reconstruct_many_with_confidence"):
-            return self.reconstruct_many_with_confidence(
-                index_clusters, length
-            )
         return [
             self.reconstruct_with_confidence(reads, length)
-            for reads in index_clusters
+            for reads in batch.clusters_as_indices()
         ]
-
-
-def pack_index_clusters(
-    clusters: Sequence[Sequence[np.ndarray]],
-    pad: int = 0,
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """Pack per-cluster index lists into one padded read stack.
-
-    The shared on-ramp of the batched engines (the pointer scans in
-    :mod:`repro.consensus.bma`, the refinement layers in
-    :mod:`repro.consensus.iterative` / :mod:`repro.consensus.posterior`):
-    all non-empty reads of all clusters as one ``(n_reads, max_len + pad)``
-    ``int64`` matrix with sentinel ``-1`` past each read's end, plus
-    per-read lengths and (non-decreasing) cluster ids. ``pad`` appends
-    extra sentinel columns (the scans use them for bounds-free lookahead
-    gathers). Empty reads are dropped — they can neither vote nor shift
-    a distance comparison.
-    """
-    reads: List[np.ndarray] = []
-    cluster_ids: List[int] = []
-    for c, cluster in enumerate(clusters):
-        for read in cluster:
-            read = np.asarray(read, dtype=np.int64)
-            if read.size:
-                reads.append(read)
-                cluster_ids.append(c)
-    if not reads:
-        return (np.zeros((0, 0), dtype=np.int64),
-                np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    lengths = np.array([r.size for r in reads], dtype=np.int64)
-    padded = np.full((len(reads), int(lengths.max()) + pad), -1,
-                     dtype=np.int64)
-    for i, read in enumerate(reads):
-        padded[i, : read.size] = read
-    return padded, lengths, np.array(cluster_ids, dtype=np.int64)
-
-
-def majority_vote(
-    symbols: Sequence[int],
-    n_alphabet: int = 4,
-    tie_break: str = "lowest",
-) -> Optional[int]:
-    """Plurality vote over symbols; None for an empty ballot.
-
-    Args:
-        symbols: candidate symbols in ``[0, n_alphabet)``.
-        n_alphabet: alphabet size.
-        tie_break: "lowest" picks the smallest symbol among ties, which
-            keeps reconstruction deterministic.
-    """
-    if len(symbols) == 0:
-        return None
-    counts = np.bincount(np.asarray(symbols, dtype=np.int64), minlength=n_alphabet)
-    if tie_break != "lowest":
-        raise ValueError(f"unknown tie_break {tie_break!r}")
-    return int(np.argmax(counts))
-
-
-def column_votes(
-    reads: List[np.ndarray], pointers: np.ndarray, n_alphabet: int = 4
-) -> np.ndarray:
-    """Count votes for each symbol among reads' current characters.
-
-    Reads whose pointer has run past their end do not vote.
-    """
-    counts = np.zeros(n_alphabet, dtype=np.int64)
-    for read, pointer in zip(reads, pointers):
-        if 0 <= pointer < len(read):
-            counts[read[pointer]] += 1
-    return counts

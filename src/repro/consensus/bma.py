@@ -27,12 +27,9 @@ the differential test suite.
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
 import numpy as np
 
-from repro.codec.basemap import bases_to_indices, indices_to_bases
-from repro.consensus.base import Reconstructor, pack_index_clusters
+from repro.consensus.base import Reconstructor
 
 
 class OneWayReconstructor(Reconstructor):
@@ -55,33 +52,6 @@ class OneWayReconstructor(Reconstructor):
         self.lookahead = lookahead
         self.n_alphabet = n_alphabet
         self.fill_symbol = fill_symbol
-
-    def reconstruct(self, reads: Sequence[str], length: int) -> str:
-        arrays = [bases_to_indices(read) for read in reads]
-        return indices_to_bases(self.reconstruct_indices(arrays, length))
-
-    def reconstruct_indices(
-        self, reads: Sequence[np.ndarray], length: int
-    ) -> np.ndarray:
-        return self.reconstruct_many_indices([reads], length)[0]
-
-    def reconstruct_many_indices(
-        self, clusters: Sequence[Sequence[np.ndarray]], length: int
-    ) -> List[np.ndarray]:
-        if length < 0:
-            raise ValueError(f"length must be non-negative, got {length}")
-        n_clusters = len(clusters)
-        # One padded matrix over every read of every cluster: sentinel -1
-        # marks positions past a read's end. The extra window+2 columns let
-        # every lookahead gather stay in bounds without per-step clipping.
-        padded, lengths, cluster_of = pack_index_clusters(
-            clusters, pad=self.lookahead + 2
-        )
-        if lengths.size == 0 or length == 0:
-            return list(np.full((n_clusters, length), self.fill_symbol,
-                                dtype=np.int64))
-        return list(self.scan_padded(padded, lengths, cluster_of,
-                                     n_clusters, length))
 
     def reconstruct_batch(self, batch, length: int) -> np.ndarray:
         """Columnar entry point: scan a whole
@@ -111,7 +81,16 @@ class OneWayReconstructor(Reconstructor):
         ``padded`` must be int64 with sentinel -1 and at least
         ``lookahead + 2`` sentinel columns past the longest read; rows are
         reads, tagged by ``cluster_of``. Returns ``(n_clusters, length)``.
+        A symbol outside ``[0, n_alphabet)`` raises ``ValueError``: the
+        per-cluster ballots key on ``cluster * n_alphabet + symbol``, so
+        it would otherwise vote in the neighbouring cluster.
         """
+        top = int(padded.max()) if padded.size else -1
+        if top >= self.n_alphabet:
+            raise ValueError(
+                f"read symbol {top} outside the alphabet of "
+                f"n_alphabet={self.n_alphabet}"
+            )
         output = np.full((n_clusters, length), self.fill_symbol,
                          dtype=np.int64)
         window = self.lookahead

@@ -35,12 +35,11 @@ always return the desired length; ours does by construction).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
-from repro.codec.basemap import bases_to_indices, indices_to_bases
-from repro.consensus.base import Reconstructor, pack_index_clusters
+from repro.consensus.base import Reconstructor
 from repro.consensus.two_way import TwoWayReconstructor
 from repro.observability.trace import get_tracer
 
@@ -66,32 +65,11 @@ class IterativeReconstructor(Reconstructor):
         self.n_alphabet = n_alphabet
         self._seed = TwoWayReconstructor(n_alphabet=n_alphabet)
 
-    def reconstruct(self, reads: Sequence[str], length: int) -> str:
-        arrays = [bases_to_indices(read) for read in reads]
-        return indices_to_bases(self.reconstruct_indices(arrays, length))
-
-    def reconstruct_indices(
-        self, reads: Sequence[np.ndarray], length: int
-    ) -> np.ndarray:
-        return self.reconstruct_many_indices([reads], length)[0]
-
-    def reconstruct_many_indices(
-        self, clusters: Sequence[Sequence[np.ndarray]], length: int
-    ) -> List[np.ndarray]:
-        """Batch variant: the two-way seeds come from one batched scan and
-        the realign-and-vote refinement sweeps all clusters' reads as one
-        padded stack (see :meth:`_refine_batched`)."""
-        seeds = self._seed.reconstruct_many_indices(clusters, length)
-        if not seeds:
-            return []
-        estimates = np.stack([np.asarray(s, dtype=np.int64) for s in seeds])
-        padded, lengths, cluster_of = pack_index_clusters(clusters)
-        return list(self._refine_batched(padded, lengths, cluster_of,
-                                         estimates))
-
     def reconstruct_batch(self, batch, length: int) -> np.ndarray:
-        """Columnar variant: seeds and refinement both run straight off
-        the batch's flat buffer — no per-read Python objects anywhere."""
+        """The two-way seeds come from one batched scan and the
+        realign-and-vote refinement sweeps all clusters' reads as one
+        padded stack (see :meth:`_refine_batched`), both straight off the
+        batch's flat buffer — no per-read Python objects anywhere."""
         if batch.n_clusters == 0:
             return np.zeros((0, length), dtype=np.int64)
         seeds = np.asarray(self._seed.reconstruct_batch(batch, length),

@@ -26,7 +26,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.codec.basemap import bases_to_indices, indices_to_bases
 from repro.consensus.base import Reconstructor
 from repro.consensus.two_way import TwoWayReconstructor
 
@@ -65,29 +64,20 @@ class OptimalMedianReconstructor(Reconstructor):
 
     # -- public API -----------------------------------------------------------
 
-    def reconstruct(self, reads: Sequence[str], length: int) -> str:
-        arrays = [bases_to_indices(read) for read in reads]
-        return indices_to_bases(self.reconstruct_indices(arrays, length))
-
-    def reconstruct_indices(
-        self, reads: Sequence[np.ndarray], length: int
-    ) -> np.ndarray:
-        result = self.search(reads, length)
-        return result.candidates[0]
-
-    def reconstruct_many_indices(
-        self, clusters: Sequence[Sequence[np.ndarray]], length: int
-    ) -> List[np.ndarray]:
-        """Batch variant: the heuristic bound seeds for every cluster come
-        from one batched two-way scan; the branch-and-bound searches
-        themselves remain per-cluster (they share no state)."""
+    def reconstruct_batch(self, batch, length: int) -> np.ndarray:
+        """The heuristic bound seeds for every cluster come from one
+        batched two-way scan; the branch-and-bound searches themselves
+        remain per-cluster (they share no state)."""
         seeds = TwoWayReconstructor(
             n_alphabet=self.n_alphabet
-        ).reconstruct_many_indices(clusters, length)
-        return [
+        ).reconstruct_batch(batch, length)
+        estimates = [
             self.search(reads, length, seed=seed).candidates[0]
-            for reads, seed in zip(clusters, seeds)
+            for reads, seed in zip(batch.clusters_as_indices(), seeds)
         ]
+        if not estimates:
+            return np.zeros((0, length), dtype=np.int64)
+        return np.stack(estimates)
 
     def search(
         self,

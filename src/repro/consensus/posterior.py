@@ -49,8 +49,8 @@ import numpy as np
 from scipy.signal import lfilter
 
 from repro.channel.errors import ErrorModel
-from repro.codec.basemap import bases_to_indices, indices_to_bases
-from repro.consensus.base import Reconstructor, pack_index_clusters
+from repro.channel.readbatch import ReadBatch
+from repro.consensus.base import Reconstructor
 from repro.consensus.two_way import TwoWayReconstructor
 from repro.observability.trace import get_tracer
 
@@ -91,15 +91,6 @@ class PosteriorReconstructor(Reconstructor):
 
     # -- public API -----------------------------------------------------------
 
-    def reconstruct(self, reads: Sequence[str], length: int) -> str:
-        arrays = [bases_to_indices(read) for read in reads]
-        return indices_to_bases(self.reconstruct_indices(arrays, length))
-
-    def reconstruct_indices(
-        self, reads: Sequence[np.ndarray], length: int
-    ) -> np.ndarray:
-        return self.reconstruct_many_indices([reads], length)[0]
-
     def positional_confidence(
         self, reads: Sequence[np.ndarray], length: int
     ) -> np.ndarray:
@@ -115,30 +106,17 @@ class PosteriorReconstructor(Reconstructor):
         self, reads: Sequence[np.ndarray], length: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One pass returning both the estimate and its per-position
-        confidence — what confidence-assisted decoding consumes."""
+        confidence — what confidence-assisted decoding consumes (a
+        one-cluster :meth:`reconstruct_many_with_confidence`)."""
         return self.reconstruct_many_with_confidence([reads], length)[0]
-
-    def reconstruct_many_indices(
-        self, clusters: Sequence[Sequence[np.ndarray]], length: int
-    ) -> List[np.ndarray]:
-        return [e for e, _ in self.reconstruct_many_with_confidence(
-            clusters, length)]
 
     def reconstruct_many_with_confidence(
         self, clusters: Sequence[Sequence[np.ndarray]], length: int
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Batch variant: the two-way seeds for every cluster come from
-        one batched scan and the lattice refinement advances all clusters'
-        reads together (see :meth:`_run_batched`)."""
-        seeds = self._seed.reconstruct_many_indices(clusters, length)
-        if not seeds:
-            return []
-        estimates = np.stack([np.asarray(s, dtype=np.int64) for s in seeds])
-        padded, lengths, cluster_of = pack_index_clusters(clusters)
-        estimates, confidences = self._run_batched(
-            padded, lengths, cluster_of, estimates
+        """List-shaped pack of :meth:`reconstruct_batch_with_confidence`."""
+        return self.reconstruct_batch_with_confidence(
+            ReadBatch.from_arrays(clusters), length
         )
-        return list(zip(estimates, confidences))
 
     def reconstruct_batch(self, batch, length: int) -> np.ndarray:
         if batch.n_clusters == 0:
@@ -149,9 +127,10 @@ class PosteriorReconstructor(Reconstructor):
     def reconstruct_batch_with_confidence(
         self, batch, length: int
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Columnar variant of :meth:`reconstruct_many_with_confidence`:
-        seeds from one scan over the batch's flat buffer, lattice
-        refinement over its padded read stack — end to end without
+        """The engine feed: the two-way seeds for every cluster come from
+        one batched scan over the batch's flat buffer and the lattice
+        refinement advances all clusters' reads together over its padded
+        read stack (see :meth:`_run_batched`) — end to end without
         per-read Python objects."""
         if batch.n_clusters == 0:
             return []

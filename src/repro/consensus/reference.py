@@ -26,7 +26,6 @@ import numpy as np
 from scipy.signal import lfilter
 
 from repro.channel.errors import ErrorModel
-from repro.codec.basemap import bases_to_indices, indices_to_bases
 from repro.consensus.base import Reconstructor
 
 _TINY = 1e-300
@@ -51,10 +50,6 @@ class ReferenceOneWayReconstructor(Reconstructor):
         self.lookahead = lookahead
         self.n_alphabet = n_alphabet
         self.fill_symbol = fill_symbol
-
-    def reconstruct(self, reads: Sequence[str], length: int) -> str:
-        arrays = [bases_to_indices(read) for read in reads]
-        return indices_to_bases(self.reconstruct_indices(arrays, length))
 
     def reconstruct_indices(
         self, reads: Sequence[np.ndarray], length: int
@@ -165,10 +160,6 @@ class ReferenceTwoWayReconstructor(Reconstructor):
             lookahead=lookahead, n_alphabet=n_alphabet
         )
 
-    def reconstruct(self, reads: Sequence[str], length: int) -> str:
-        arrays = [bases_to_indices(read) for read in reads]
-        return indices_to_bases(self.reconstruct_indices(arrays, length))
-
     def reconstruct_indices(
         self, reads: Sequence[np.ndarray], length: int
     ) -> np.ndarray:
@@ -188,10 +179,6 @@ class ReferenceIterativeReconstructor(Reconstructor):
         self.max_iterations = max_iterations
         self.n_alphabet = n_alphabet
         self._seed = ReferenceTwoWayReconstructor(n_alphabet=n_alphabet)
-
-    def reconstruct(self, reads: Sequence[str], length: int) -> str:
-        arrays = [bases_to_indices(read) for read in reads]
-        return indices_to_bases(self.reconstruct_indices(arrays, length))
 
     def reconstruct_indices(
         self, reads: Sequence[np.ndarray], length: int
@@ -306,10 +293,6 @@ class ReferencePosteriorReconstructor(Reconstructor):
         self.max_iterations = max_iterations
         self.n_alphabet = n_alphabet
         self._seed = ReferenceTwoWayReconstructor(n_alphabet=n_alphabet)
-
-    def reconstruct(self, reads: Sequence[str], length: int) -> str:
-        arrays = [bases_to_indices(read) for read in reads]
-        return indices_to_bases(self.reconstruct_indices(arrays, length))
 
     def reconstruct_indices(
         self, reads: Sequence[np.ndarray], length: int

@@ -14,11 +14,8 @@ reversed reads) instead of two scans per cluster.
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
 import numpy as np
 
-from repro.codec.basemap import bases_to_indices, indices_to_bases
 from repro.consensus.base import Reconstructor
 from repro.consensus.bma import OneWayReconstructor
 
@@ -36,39 +33,12 @@ class TwoWayReconstructor(Reconstructor):
             lookahead=lookahead, n_alphabet=n_alphabet
         )
 
-    def reconstruct(self, reads: Sequence[str], length: int) -> str:
-        arrays = [bases_to_indices(read) for read in reads]
-        return indices_to_bases(self.reconstruct_indices(arrays, length))
-
-    def reconstruct_indices(
-        self, reads: Sequence[np.ndarray], length: int
-    ) -> np.ndarray:
-        return self.reconstruct_many_indices([reads], length)[0]
-
-    def reconstruct_many_indices(
-        self, clusters: Sequence[Sequence[np.ndarray]], length: int
-    ) -> List[np.ndarray]:
-        forward = self._one_way.reconstruct_many_indices(clusters, length)
-        reversed_clusters = [
-            [np.asarray(read)[::-1] for read in reads] for reads in clusters
-        ]
-        backward = self._one_way.reconstruct_many_indices(
-            reversed_clusters, length
-        )
-        midpoint = length // 2
-        return [
-            np.concatenate([fwd[:midpoint], bwd[::-1][midpoint:]])
-            for fwd, bwd in zip(forward, backward)
-        ]
-
     def reconstruct_batch(self, batch, length: int) -> np.ndarray:
         """Columnar entry point: both scans straight off the batch.
 
         The padded read matrix is gathered from the batch's flat buffer
         once; the backward scan runs over a row-wise reversal of the same
-        matrix (reversing each read in place of the per-read ``[::-1]``
-        copies of the list path). Output equals
-        :meth:`reconstruct_many_indices` row for row.
+        matrix, each read reversed within its own length.
         """
         one_way = self._one_way
         if length < 0:

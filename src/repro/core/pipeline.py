@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.channel.readbatch import ReadBatch
 from repro.channel.sequencer import ReadCluster
-from repro.cluster.batched import BatchedGreedyClusterer
 from repro.codec.basemap import indices_to_bases
 from repro.consensus.base import Reconstructor
 from repro.consensus.two_way import TwoWayReconstructor
@@ -824,37 +823,6 @@ class DnaStoragePipeline:
         return self.correct(
             received, n_data_bits, ranking, extra_erasure_columns
         )
-
-    def decode_pool(
-        self,
-        pool: ReadBatch,
-        n_data_bits: int,
-        clusterer=None,
-        ranking: Optional[np.ndarray] = None,
-        extra_erasure_columns: Sequence[int] = (),
-    ) -> Tuple[np.ndarray, DecodeReport]:
-        """Decode one unit from an *unlabeled* read pool.
-
-        The realistic retrieval entry point: ``pool`` carries reads with
-        no ground-truth cluster labels (its own cluster structure is
-        ignored — e.g. a one-cluster batch from
-        :meth:`~repro.channel.readbatch.ReadBatch.pooled`). The
-        clusterer — the batched greedy scan by default, or any drop-in
-        with the same surface such as
-        :class:`~repro.cluster.LSHClusterer` — recovers the clusters on
-        the columnar plane, and the re-labeled batch decodes through the
-        ordinary
-        :meth:`decode` — each recovered cluster's consensus strand names
-        its own column via the embedded index field, first claim wins,
-        and RS absorbs residual clustering mistakes.
-        """
-        if clusterer is None:
-            clusterer = BatchedGreedyClusterer.for_strand_length(
-                self.matrix_config.strand_length
-            )
-        labeled = clusterer.cluster_batch(pool)
-        return self.decode(labeled, n_data_bits, ranking,
-                           extra_erasure_columns)
 
     def prioritized_bits(self, received_or_matrix) -> np.ndarray:
         """Data bits in placement (priority) order, without un-ranking.

@@ -62,6 +62,22 @@ class TestConstruction:
             ReadBatch(np.zeros(1, np.uint8), [0], [1], [0], n_clusters=1,
                       source_indices=[1, 2])
 
+    @pytest.mark.parametrize("bad", [300, 256, -1])
+    def test_from_arrays_rejects_symbols_outside_uint8(self, bad):
+        """A symbol the uint8 buffer cannot hold raises instead of
+        wrapping (300 would silently become 44)."""
+        with pytest.raises(ValueError, match=f"read symbol {bad} outside"):
+            ReadBatch.from_arrays([[np.array([1, 1])],
+                                   [np.array([bad, 1, 1])]])
+
+    def test_from_arrays_keeps_full_uint8_range(self):
+        batch = ReadBatch.from_arrays(
+            [[np.array([0, 255], dtype=np.int64), np.array([], dtype=float)]]
+        )
+        np.testing.assert_array_equal(batch.buffer, [0, 255])
+        assert batch.buffer.dtype == np.uint8
+        np.testing.assert_array_equal(batch.lengths, [2, 0])
+
 
 class TestSequenceProtocol:
     def test_len_iter_getitem(self):

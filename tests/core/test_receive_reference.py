@@ -6,8 +6,8 @@
 parse loop it replaced. These tests pin the two byte-identical — matrix,
 erased and duplicate columns, invalid-strand count and cell erasures —
 for cluster-list and ``ReadBatch`` input, lost and all-empty clusters,
-recovered cluster counts other than ``n_columns`` (the
-``pipeline.decode_pool`` path) and confidence-threshold decoding.
+recovered cluster counts other than ``n_columns`` (the pooled
+``DnaStore.read`` path) and confidence-threshold decoding.
 """
 
 import numpy as np
@@ -142,7 +142,7 @@ class TestDegenerateClusters:
 
 class TestRecoveredClusterCounts:
     def test_clustered_pool(self):
-        """The ``pipeline.decode_pool`` path: recovered clusters do not
+        """The pooled ``DnaStore.read`` path: recovered clusters do not
         number ``n_columns`` (dropouts, splits), in pool order."""
         pipeline = make_pipeline()
         simulator = SequencingSimulator(
@@ -171,10 +171,10 @@ class TestRecoveredClusterCounts:
 
 class TestConfidenceThreshold:
     """The confidence corpora of ``test_confidence_decoding.py`` and
-    ``test_store_batched.py``: the batch confidence path and the frozen
-    list path (``reconstruct_many_with_confidence``) agree only to float
-    round-off, so cell erasures at the threshold boundary could differ;
-    on these corpora they must not."""
+    ``test_store_batched.py``: the frozen loop takes its confidences from
+    the list pack (``reconstruct_many_with_confidence``) and ``receive``
+    from the batch feed; cell erasures at the threshold boundary must
+    agree on these corpora."""
 
     @pytest.mark.parametrize("rate,coverage,threshold,n_columns", [
         (0.0, 2, 0.5, 60),

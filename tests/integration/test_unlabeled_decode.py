@@ -20,50 +20,57 @@ from repro.channel import (
 )
 from repro.cluster import BatchedGreedyClusterer, LSHClusterer
 from repro.consensus import PosteriorReconstructor
-from repro.core import DnaStoragePipeline, MatrixConfig, PipelineConfig
+from repro.core import MatrixConfig, PipelineConfig
 from repro.core.store import DnaStore, ReadRequest
 
 MATRIX = MatrixConfig(m=8, n_columns=40, nsym=8, payload_rows=8)
 
 
-def payload_for(store_or_pipeline, units=1, trim=0, seed=11):
+def payload_for(store, units=1, trim=0, seed=11):
     rng = np.random.default_rng(seed)
-    capacity = getattr(store_or_pipeline, "unit_capacity_bits", None) \
-        or store_or_pipeline.capacity_bits
-    return rng.integers(0, 2, units * capacity - trim).astype(np.uint8)
+    return rng.integers(
+        0, 2, units * store.unit_capacity_bits - trim
+    ).astype(np.uint8)
 
 
 class TestPipelinePoolDecode:
+    """One unit's unlabeled pool decodes as a one-unit pooled
+    ``DnaStore.read`` request."""
+
     def test_single_unit_roundtrip(self):
-        pipeline = DnaStoragePipeline(PipelineConfig(matrix=MATRIX))
-        bits = payload_for(pipeline)
-        unit = pipeline.encode(bits)
+        store = DnaStore(PipelineConfig(matrix=MATRIX))
+        bits = payload_for(store)
+        image = store.encode(bits)
+        assert image.n_units == 1
         simulator = SequencingSimulator(
             ErrorModel.uniform(0.04), FixedCoverage(8)
         )
-        pool = simulator.sequence_batch(unit.strands, rng=5).pooled(rng=5)
-        decoded, report = pipeline.decode_pool(pool, bits.size)
+        pool = simulator.sequence_batch(
+            image.units[0].strands, rng=5
+        ).pooled(rng=5)
+        decoded, report = store.read(ReadRequest(pool, bits.size, pool=True))
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
 
     def test_explicit_clusterer_and_ranking(self):
         from repro.core import positional_ranking
 
-        pipeline = DnaStoragePipeline(
-            PipelineConfig(matrix=MATRIX, layout="dnamapper")
-        )
-        bits = payload_for(pipeline, trim=9)
+        store = DnaStore(PipelineConfig(matrix=MATRIX, layout="dnamapper"))
+        bits = payload_for(store, trim=9)
         ranking = positional_ranking(bits.size)
-        unit = pipeline.encode(bits, ranking)
+        image = store.encode(bits, ranking)
+        assert image.n_units == 1
         simulator = SequencingSimulator(
             ErrorModel.uniform(0.04), FixedCoverage(8)
         )
-        pool = simulator.sequence_batch(unit.strands, rng=6).pooled(rng=6)
-        decoded, report = pipeline.decode_pool(
-            pool, bits.size,
+        pool = simulator.sequence_batch(
+            image.units[0].strands, rng=6
+        ).pooled(rng=6)
+        decoded, report = store.read(ReadRequest(
+            pool, bits.size, pool=True,
             clusterer=BatchedGreedyClusterer(threshold=14),
             ranking=ranking,
-        )
+        ))
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
 
